@@ -8,9 +8,9 @@ import (
 
 // Batch accumulates store operations and runs them in a single round
 // trip (protocol v2's OpBatch frame). The server executes sub-ops
-// grouped per shard — one store-loop closure per shard touched — so a
-// 32-op batch costs one syscall pair and a handful of channel hops where
-// v1 cost 32 of each; this is where the hot-path throughput comes from.
+// grouped per shard — one critical section per shard touched — so a
+// 32-op batch costs one syscall pair and a handful of lock acquisitions
+// where v1 cost 32 of each; this is where the hot-path throughput comes from.
 //
 // Against a v1 server (or a v1-negotiated connection) Run transparently
 // falls back to issuing the operations sequentially, preserving the

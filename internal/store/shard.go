@@ -4,7 +4,7 @@ import "strconv"
 
 // Router is the deterministic shard router in front of a fleet of
 // stores (ISSUE 6): per-domain /local/domain/<id> subtrees are disjoint,
-// so a server may run one store (and one store-loop goroutine) per shard
+// so a server may run one store (behind its own lock) per shard
 // and route every operation by the domain its path belongs to. The
 // mapping is pure arithmetic on the domain id — no state, no clock — so
 // a sharded server replays a trace onto exactly the same shards every

@@ -109,8 +109,8 @@ const (
 	KindWireConn Kind = "wire.conn"
 	// KindWireBatch is one shard-group of a batched netstore frame
 	// (protocol v2): Dom is the connection's bound domain and Size the
-	// number of sub-operations the group executed in a single store-loop
-	// closure. Individual sub-ops are not recorded — the amortization is
+	// number of sub-operations the group executed in a single critical
+	// section under the shard's lock. Individual sub-ops are not recorded — the amortization is
 	// the point (docs/WIRE_PROTOCOL.md §5).
 	KindWireBatch Kind = "wire.batch"
 
