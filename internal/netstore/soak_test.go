@@ -39,7 +39,6 @@ func TestSoakConcurrentClientsWithFaults(t *testing.T) {
 		t.Skip("soak skipped in -short")
 	}
 	srv := netstore.NewServer(netstore.Options{
-		NotifyQueue:  256,
 		WriteTimeout: time.Second,
 		Shards:       2,
 		Faults:       "watchdrop=0.05,watchdelay=2ms:0.2",
